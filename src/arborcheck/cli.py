@@ -24,6 +24,12 @@ from .valuation import InternalVerificationFailed
 OK, PROPERTY_FAILED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
+def _print_traceback() -> None:
+    import traceback  # deferred: importing it costs a few ms on every start-up
+
+    traceback.print_exc(file=sys.stderr)
+
+
 def _emit(doc: dict, code: int, summary: str = "") -> int:
     print(json.dumps(doc, indent=2, sort_keys=True))
     if summary:
@@ -384,8 +390,14 @@ def cmd_fuzz(args) -> int:
         rng = random.Random(f"{seed}:{i}")
         try:
             fuzz_case(rng)
-        except AssertionError as exc:
-            failures.append({"case": i, "error": str(exc)})
+        except Exception as exc:  # any failure is a finding: keep the seed, run the next case
+            _print_traceback()
+            failures.append({
+                "case": i,
+                "type": type(exc).__name__,
+                "error": str(exc),
+                "repro": f"ARBORCHECK_SEED={seed} arborcheck fuzz --models {i + 1}",
+            })
     doc = {"models": args.models, "seed": seed, "failures": failures}
     return _emit(doc, OK if not failures else INTERNAL_ERROR,
                  f"fuzz: {args.models - len(failures)}/{args.models} models clean")
@@ -500,6 +512,11 @@ def main(argv=None) -> int:
     except (GraphError, OSError, ValueError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}), file=sys.stdout)
         return INPUT_ERROR
+    except Exception as exc:  # anything else is a bug, never "property fails"
+        _print_traceback()
+        doc = {"ok": False, "internal_error": f"{type(exc).__name__}: {exc}"}
+        print(json.dumps(doc), file=sys.stdout)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -218,27 +218,47 @@ def intersection_matrix(g: DualGraph) -> list[list[int]]:
     return m
 
 
-def leading_minors_fraction_free(mat: list[list[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix by fraction-free
-    (Bareiss) elimination; all intermediate divisions are exact."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    minors: list[int] = []
-    prev = 1
+def leading_minors_fraction_free(rows: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) forward sweep, in place, over the n rows of an
+    integer matrix n x w with w >= n; returns the n pivots, which are the
+    leading principal minors of the left n x n block.
+
+    Every division is exact.  Afterwards entry (k, j), j >= k, is the minor
+    on rows 0..k and columns 0..k-1, j: the upper triangle U, with U_kk the
+    (k+1)-th pivot, then the right-hand side scaled to match.  The entries
+    below the diagonal are 0.  A row with a zero in the pivot column only
+    gets rescaled by the step; that scaling is deferred until the row is
+    next eliminated or becomes the pivot row, so a row costs one pass per
+    nonzero it has below the diagonal (fill-in included), not one per step.
+    This is the one elimination loop of the package: `validate` runs it on
+    -M alone, `lattice.invert_positive_definite` on [-M | I].
+    """
+    n = len(rows)
+    lead = [1]  # lead[k]: the k-th leading principal minor, lead[0] = 1
+    since = [0] * n  # row i is current as of step since[i]; it owes lead[k] / lead[since[i]]
     for k in range(n):
-        piv = a[k][k]
-        minors.append(piv)
+        top = rows[k]
+        if since[k] < k:
+            a, b = lead[k], lead[since[k]]
+            top[k:] = [x * a // b for x in top[k:]]
+        piv = top[k]
         if piv == 0:
             # Elimination cannot continue; remaining minors are reported as 0,
             # which is enough for the Sylvester test (first non-positive wins).
-            minors.extend([0] * (n - k - 1))
-            return minors
+            return lead[1:] + [0] * (n - k)
+        prev = lead[k]
+        tail = top[k:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = piv
-    return minors
+            row = rows[i]
+            if row[k]:
+                if since[i] < k:
+                    a, b = prev, lead[since[i]]
+                    row[k:] = [x * a // b for x in row[k:]]
+                f = row[k]
+                row[k:] = [(x * piv - f * y) // prev for x, y in zip(row[k:], tail)]
+                since[i] = k + 1
+        lead.append(piv)
+    return lead[1:]
 
 
 def validate(
@@ -388,10 +408,16 @@ def graph_from_json(text: str) -> DualGraph:
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from exc
     try:
-        vertices = [(str(v["id"]), int(v["self"])) for v in doc["vertices"]]
+        vertices = [(str(v["id"]), v["self"]) for v in doc["vertices"]]
         edges = [(str(u), str(v)) for u, v in doc.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph description: {exc}") from exc
+    for v, s in vertices:
+        # a JSON integer only: no float to truncate, no numeric string, no bool
+        if type(s) is not int:
+            raise GraphError(
+                f"malformed graph description: self-intersection of {v} must be an integer, got {s!r}"
+            )
     return validate(vertices, edges, doc.get("name"))
 
 

@@ -16,12 +16,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .dualgraph import DualGraph, GraphError, UnknownVertex, intersection_matrix, separates
+from .dualgraph import (
+    DualGraph,
+    GraphError,
+    UnknownVertex,
+    intersection_matrix,
+    leading_minors_fraction_free,
+    separates,
+)
 from .rational import format_rational
 
 
 class SingularMatrix(GraphError):
-    """Raised when inversion meets a zero pivot; unreachable after
+    """Raised when inversion meets a non-positive pivot; unreachable after
     validation and signals a validation bypass."""
 
 
@@ -56,33 +63,33 @@ def _check_branch(g: DualGraph, spec: BranchSpec) -> dict[str, int]:
     return clean
 
 
-def invert_positive_definite(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Inverse of a symmetric positive definite integer matrix by
-    fraction-free Gaussian elimination on the augmented system.
+def invert_positive_definite(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a symmetric positive definite integer
+    matrix A, so that A^-1 = adj / det, in integers only.
 
-    The forward sweep is Bareiss (integer arithmetic, exact divisions);
-    back substitution produces exact Fractions.
+    The forward sweep is the shared Bareiss kernel on [A | I].  Back
+    substitution stays fraction-free: row i of the adjugate is
+    (det * rhs_i - sum_{j>i} U_ij adj_j) / U_ii, and each division is exact
+    because the quotient is an entry of the integer adjugate.
     """
     n = len(mat)
     aug = [[int(x) for x in row] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    prev = 1
-    for k in range(n):
-        piv = aug[k][k]
-        if piv == 0:
-            raise SingularMatrix(f"zero pivot at step {k + 1}")
-        for i in range(k + 1, n):
-            for j in range(k + 1, 2 * n):
-                aug[i][j] = (aug[i][j] * piv - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = piv
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        for i in range(n - 1, -1, -1):
-            s = Fraction(aug[i][n + col])
-            for j in range(i + 1, n):
-                s -= aug[i][j] * inv[j][col]
-            inv[i][col] = s / aug[i][i]
-    return inv
+    pivots = leading_minors_fraction_free(aug)
+    for k, piv in enumerate(pivots, start=1):
+        if piv <= 0:
+            raise SingularMatrix(f"non-positive pivot at step {k}")
+    det = pivots[-1]
+    adj: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = [det * x for x in row[n:]]
+        for j in range(i + 1, n):
+            u = row[j]
+            if u:
+                acc = [s - u * x for s, x in zip(acc, adj[j])]
+        piv = row[i]
+        adj[i] = [s // piv for s in acc]
+    return det, adj
 
 
 @dataclass(frozen=True)
@@ -110,23 +117,25 @@ def brackets(g: DualGraph) -> BracketTable:
     """Bracket table of a model; cached, since graphs are immutable values
     and the same model is queried many times per report."""
     neg = [[-x for x in row] for row in intersection_matrix(g)]
-    inv = invert_positive_definite(neg)
-    table = BracketTable(g, tuple(tuple(row) for row in inv))
-    _assert_bracket_invariants(table)
-    return table
+    det, adj = invert_positive_definite(neg)
+    _assert_bracket_invariants(adj)
+    return BracketTable(g, tuple(tuple(Fraction(x, det) for x in row) for row in adj))
 
 
-def _assert_bracket_invariants(t: BracketTable) -> None:
-    ids = t.graph.vertex_ids
-    n = len(ids)
+def _assert_bracket_invariants(adj: list[list[int]]) -> None:
+    """Positivity, symmetry and strict Cauchy-Schwarz off the diagonal, on
+    the integer adjugate: every bracket is adj_ij / det with det > 0, so the
+    checks carry over unchanged from the Fraction entries."""
+    n = len(adj)
     for i in range(n):
+        row = adj[i]
         for j in range(n):
-            e = t.entries[i][j]
+            e = row[j]
             if e <= 0:
                 raise InequalityViolated("bracket entries must be positive")
-            if t.entries[i][j] != t.entries[j][i]:
+            if e != adj[j][i]:
                 raise InequalityViolated("bracket table must be symmetric")
-            cs = e * e - t.entries[i][i] * t.entries[j][j]
+            cs = e * e - row[i] * adj[j][j]
             if cs > 0 or (cs == 0 and i != j):
                 raise InequalityViolated("Cauchy-Schwarz bound violated")
 

@@ -45,14 +45,22 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _iroot(n: int, k: int):
-    """Exact integer k-th root of n, or None."""
+    """Exact integer k-th root of n >= 0, or None.
+
+    Integer arithmetic only, so the cost grows with the bit length of n and
+    no size overflows: isqrt for k = 2, otherwise Newton's iteration from
+    2^ceil(bits/k) >= n^(1/k), which decreases to floor(n^(1/k))."""
     if n == 0:
         return 0
-    r = max(1, round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
     return r if r ** k == n else None
 
 

@@ -191,3 +191,47 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["brackets"])  # missing file argument
     assert exc.value.code == 2
+
+
+def test_fuzz_keeps_the_seed_on_any_exception(capsys, monkeypatch):
+    from arborcheck import cli
+
+    def boom(rng):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "fuzz_case", boom)
+    code, doc = run(capsys, ["fuzz", "--models", "3", "--seed", "5"])
+    assert code == 3
+    assert [f["case"] for f in doc["failures"]] == [0, 1, 2]
+    first = doc["failures"][0]
+    assert first["type"] == "ZeroDivisionError" and first["error"] == "boom"
+    assert [f["repro"] for f in doc["failures"]] == [
+        f"ARBORCHECK_SEED=5 arborcheck fuzz --models {i}" for i in (1, 2, 3)
+    ]
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, tetra_file):
+    from arborcheck import lattice
+
+    def boom(g):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(lattice, "brackets", boom)
+    code = main(["brackets", tetra_file])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"ok": False, "internal_error": "OverflowError: int too large to convert to float"}
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("bad", [-2.7, -2.0, "-3", True, None, [-2]])
+def test_self_intersection_must_be_a_json_integer(capsys, tmp_path, bad):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({
+        "vertices": [{"id": "a", "self": -2}, {"id": "b", "self": bad}],
+        "edges": [["a", "b"]],
+    }))
+    code, doc = run(capsys, ["validate", str(p)])
+    assert code == 2
+    assert "malformed graph description" in doc["error"]
+

@@ -57,6 +57,30 @@ def test_loglength_invalid():
         LogLength(F(1, 2), 0)
 
 
+def test_iroot_exact_on_huge_integers():
+    rng = random.Random("iroot")
+    for k in range(2, 8):
+        for bits in (1, 20, 53, 54, 200, 1400):
+            x = rng.getrandbits(bits) | 1
+            assert treemetric._iroot(x ** k, k) == x
+            assert treemetric._iroot(x ** k + 1, k) is None
+            if x > 1:
+                assert treemetric._iroot(x ** k - 1, k) is None
+    for k in range(2, 6):
+        roots = {r ** k: r for r in range(60)}
+        for n in range(3000):
+            assert treemetric._iroot(n, k) == roots.get(n)
+
+
+def test_loglength_carrier_beyond_float_range():
+    # the denominator exceeds the float range: no OverflowError, and the
+    # perfect square is still detected
+    x = LogLength(F(1, 10 ** 400), 2)
+    assert (x.v, x.k) == (F(1, 10 ** 200), 1)
+    y = LogLength(F(2, 10 ** 400), 6)
+    assert (y.v, y.k) == (F(2, 10 ** 400), 6)
+
+
 # ---------------------------------------------------------------------------
 # u_L tables
 
