@@ -276,7 +276,13 @@ def validate(
         raise DuplicateVertexId("repeated vertex id")
     if not ids:
         raise GraphError("a dual graph needs at least one vertex")
-    selfs = tuple(int(s) for _, s in vertices)
+    for v, s in vertices:
+        # an int only: no float to truncate, no numeric string, no bool
+        if type(s) is not int:
+            raise GraphError(
+                f"malformed graph description: self-intersection of {v} must be an integer, got {s!r}"
+            )
+    selfs = tuple(s for _, s in vertices)
     for v, s in zip(ids, selfs):
         if s >= 0:
             raise NonNegativeSelfIntersection(f"vertex {v} has self-intersection {s} >= 0")
@@ -412,12 +418,6 @@ def graph_from_json(text: str) -> DualGraph:
         edges = [(str(u), str(v)) for u, v in doc.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph description: {exc}") from exc
-    for v, s in vertices:
-        # a JSON integer only: no float to truncate, no numeric string, no bool
-        if type(s) is not int:
-            raise GraphError(
-                f"malformed graph description: self-intersection of {v} must be an integer, got {s!r}"
-            )
     return validate(vertices, edges, doc.get("name"))
 
 

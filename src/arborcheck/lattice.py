@@ -109,7 +109,8 @@ class BracketTable:
 
     def to_json(self) -> dict:
         ids = self.graph.vertex_ids
-        return {u: {v: format_rational(self.get(u, v)) for v in ids} for u in ids}
+        return {u: {v: format_rational(x) for v, x in zip(ids, row)}
+                for u, row in zip(ids, self.entries)}
 
 
 @lru_cache(maxsize=512)

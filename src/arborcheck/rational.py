@@ -16,9 +16,10 @@ INFINITE = float("inf")
 def format_rational(x) -> str:
     """Render a Fraction as "p/q" ("p" when the denominator is 1, "inf" for
     the symbolic infinite bracket)."""
-    if x == INFINITE:
-        return "inf"
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        if x == INFINITE:
+            return "inf"
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

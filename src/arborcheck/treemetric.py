@@ -5,6 +5,10 @@ Angular distances are never handled as floating logs.  A length -log(v)/k
 is carried by its rational base v and an integer root index k
 (:class:`LogLength`); sums multiply carriers, halving doubles k, and all
 comparisons cross-power exactly.  u_L tables are plain Fractions.
+
+The triangle, ultrametric and 4-point checks turn a whole table into one
+integer matrix first (:func:`_integer_matrix`) and then compare with integer
+sums or products only.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ class NotTreeLike(GraphError):
 
 class CoincidentLabels(GraphError):
     pass
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def _iroot(n: int, k: int):
@@ -107,7 +107,7 @@ class LogLength:
         return self.v == 1
 
     def _common(self, other: "LogLength") -> tuple[Fraction, Fraction, int]:
-        k = _lcm(self.k, other.k)
+        k = math.lcm(self.k, other.k)
         return self.v ** (k // self.k), other.v ** (k // other.k), k
 
     def __add__(self, other: "LogLength") -> "LogLength":
@@ -191,10 +191,20 @@ class FiniteMetric:
         return _zero_like(next(iter(self.table.values())))
 
     def check_triangle(self) -> bool:
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    if len({a, b, c}) == 3 and not self.get(a, c) <= self.get(a, b) + self.get(b, c):
+        """d(a,c) <= d(a,b) + d(b,c) for all distinct a, b, c."""
+        x, scale, logs = _integer_matrix(self)
+        n = len(x)
+        for b in range(n):
+            xb = x[b]
+            for a in range(n):
+                if a == b:
+                    continue
+                xa, ab = x[a], xb[a]
+                # the triple (c, b, a) states the same inequality as (a, b, c)
+                for c in range(a + 1, n):
+                    if c == b:
+                        continue
+                    if (xa[c] * scale < ab * xb[c]) if logs else (xa[c] > ab + xb[c]):
                         return False
         return True
 
@@ -209,6 +219,42 @@ class FiniteMetric:
                 row[b] = v.to_json() if isinstance(v, LogLength) else format_rational(v)
             out[a] = row
         return out
+
+
+def _integer_matrix(m: FiniteMetric) -> tuple[list[list[int]], int, bool]:
+    """The table over ``m.labels`` as a k x k integer matrix X, with a scale
+    L > 0 and whether the values are LogLengths.
+
+    Fractions: X = d * L, L the lcm of the denominators, so a sum of
+    distances is a sum of entries and orders like it.
+
+    LogLengths: every carrier is raised to the lcm K of the root indices and
+    written as X / L, L the lcm of the raised denominators, so that
+    d = (log L - log X) / K.  A sum of two distances then orders like the
+    negated product of their entries, d(a,b) + d(c,d) like -X_ab * X_cd,
+    and a single distance d(a,c) like -X_ac * L.  The diagonal holds the
+    zero distance: 0 for Fractions, L for LogLengths.
+    """
+    labs = m.labels
+    n = len(labs)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = [m.table[frozenset((labs[i], labs[j]))] for i, j in pairs]
+    logs = bool(values) and isinstance(values[0], LogLength)
+    if logs:
+        root = math.lcm(*(d.k for d in values))
+        values = [d.v ** (root // d.k) for d in values]
+    scale = math.lcm(*(d.denominator for d in values))
+    x = [[scale if logs else 0] * n for _ in range(n)]
+    for (i, j), d in zip(pairs, values):
+        x[i][j] = x[j][i] = d.numerator * (scale // d.denominator)
+    return x, scale, logs
+
+
+def _top_attained_twice(p: int, q: int, r: int) -> bool:
+    """Whether the largest of three integers occurs at least twice."""
+    if p == q:
+        return r <= p
+    return r == (p if p > q else q)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +302,16 @@ def is_ultrametric(m: FiniteMetric) -> UltrametricReport:
     """Strong triangle condition: among the three distances of any triple,
     two are equal and the third is not greater."""
     labs = m.labels
-    for i, a in enumerate(labs):
-        for j in range(i + 1, len(labs)):
-            for k in range(j + 1, len(labs)):
-                b, c = labs[j], labs[k]
-                x, y, z = m.get(a, b), m.get(a, c), m.get(b, c)
-                top = max(x, y, z)
-                if [x, y, z].count(top) < 2:
-                    return UltrametricReport(False, (a, b, c))
+    x, _, logs = _integer_matrix(m)
+    sign = -1 if logs else 1  # a LogLength distance orders like -X
+    n = len(labs)
+    for i in range(n):
+        xi = x[i]
+        for j in range(i + 1, n):
+            xj = x[j]
+            for k in range(j + 1, n):
+                if not _top_attained_twice(sign * xi[j], sign * xi[k], sign * xj[k]):
+                    return UltrametricReport(False, (labs[i], labs[j], labs[k]))
     return UltrametricReport(True)
 
 
@@ -281,17 +329,20 @@ def four_point_check(m: FiniteMetric) -> FourPointReportMetric:
     the maximal one of the three pair-sums is attained at least twice."""
     labs = m.labels
     n = len(labs)
+    x, _, logs = _integer_matrix(m)
     for i in range(n):
+        xi = x[i]
         for j in range(i + 1, n):
+            xj, ab = x[j], xi[j]
             for k in range(j + 1, n):
+                xk, ac, bc = x[k], xi[k], xj[k]
                 for p in range(k + 1, n):
-                    a, b, c, d = labs[i], labs[j], labs[k], labs[p]
-                    s1 = m.get(a, b) + m.get(c, d)
-                    s2 = m.get(a, c) + m.get(b, d)
-                    s3 = m.get(a, d) + m.get(b, c)
-                    top = max(s1, s2, s3)
-                    if [s1, s2, s3].count(top) < 2:
-                        return FourPointReportMetric(False, (a, b, c, d))
+                    if logs:  # a pair sum orders like the negated product
+                        top_twice = _top_attained_twice(-ab * xk[p], -ac * xj[p], -xi[p] * bc)
+                    else:
+                        top_twice = _top_attained_twice(ab + xk[p], ac + xj[p], xi[p] + bc)
+                    if not top_twice:
+                        return FourPointReportMetric(False, (labs[i], labs[j], labs[k], labs[p]))
     return FourPointReportMetric(True)
 
 

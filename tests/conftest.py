@@ -7,9 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from arborcheck import dualgraph as dg
 from arborcheck import validate
+
+# Every run draws the same examples, so a property failure repeats in a fresh
+# checkout; each test keeps its own max_examples.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

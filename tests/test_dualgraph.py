@@ -38,6 +38,12 @@ def test_validation_errors():
         dg.validate([("E1", -2)], [("E1", "E9")])
 
 
+@pytest.mark.parametrize("bad", [-2.7, -2.0, "-3", True, None])
+def test_validate_rejects_non_integer_self_intersections(bad):
+    with pytest.raises(dg.GraphError, match="must be an integer"):
+        dg.validate([("a", -2), ("b", bad)], [("a", "b")])
+
+
 def test_satellite_blowup_matches_modified_model(tetrahedron):
     g2 = dg.blowup(tetrahedron, dg.BlowupSpec.satellite("E1", "E2"), "E5")
     assert g2.self_ints == (-5, -5, -4, -4, -1)

@@ -155,6 +155,16 @@ def test_four_point_vacuous_on_three_points():
     assert treemetric.four_point_check(m).ok
 
 
+@pytest.mark.parametrize("make", [F, lambda e: LogLength(F(1, 2 ** e))])
+def test_triangle_failure_on_three_points(make):
+    # 1, 1, 5: the 4-point condition holds vacuously, the triangle does not
+    m = metric_of({("a", "b"): make(1), ("b", "c"): make(1), ("a", "c"): make(5)})
+    assert treemetric.four_point_check(m).ok
+    assert not m.check_triangle()
+    with pytest.raises(treemetric.NotTreeLike):
+        treemetric.tree_hull(m)
+
+
 def test_four_point_failure_witness():
     m = metric_of({
         ("a", "b"): F(1), ("c", "d"): F(1),

@@ -229,7 +229,8 @@ def test_fourpoint_rho_table_of_valuations(tetrahedron):
             ay = vl.val_bracket(tetrahedron, quad[y], quad[y])
             values[frozenset((x, y))] = treemetric.LogLength(b * b / (ax * ay))
     metric = treemetric.FiniteMetric.make(names, values)
-    assert not treemetric.four_point_check(metric).ok
+    rep = treemetric.four_point_check(metric)
+    assert not rep.ok and rep.witness == ("mu", "nu1", "nu2", "nu3")
 
 
 # ---------------------------------------------------------------------------
